@@ -7,7 +7,6 @@
 // vectored reads vs 16 scalar reads on TCP. Traffic is also counted at the
 // paper's high-level-transmission granularity: batching must strictly
 // reduce it for every multi-block operation.
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -22,7 +21,10 @@
 #include "reldev/util/flags.hpp"
 #include "reldev/util/table.hpp"
 
+#include "percentile.hpp"
+
 using namespace reldev;
+using bench::percentile;
 using Clock = std::chrono::steady_clock;
 
 namespace {
@@ -34,13 +36,6 @@ constexpr std::size_t kSites = 3;
 double ns_since(Clock::time_point start) {
   return std::chrono::duration<double, std::nano>(Clock::now() - start)
       .count();
-}
-
-double percentile(std::vector<double> samples, double p) {
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      p * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
 }
 
 struct Measurement {

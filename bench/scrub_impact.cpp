@@ -31,7 +31,10 @@
 #include "reldev/util/table.hpp"
 #include "reldev/util/token_bucket.hpp"
 
+#include "percentile.hpp"
+
 using namespace reldev;
+using bench::percentile;
 using Clock = std::chrono::steady_clock;
 
 namespace {
@@ -43,13 +46,6 @@ constexpr std::size_t kBatchBlocks = 8;  // 8 batches per cycle
 
 storage::BlockData payload(std::uint8_t tag) {
   return storage::BlockData(kBlockSize, static_cast<std::byte>(tag));
-}
-
-double percentile(std::vector<double> samples, double p) {
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      p * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
 }
 
 double mean(const std::vector<double>& samples) {

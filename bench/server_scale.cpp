@@ -1,12 +1,10 @@
-// SCALE: concurrent-connection scaling of the two server execution modes.
-// A non-blocking load generator (its own EventLoop shards, so 4k client
+// SCALE: concurrent-connection scaling of the reactor server. A
+// non-blocking load generator (its own EventLoop shards, so 4k client
 // connections don't need 4k threads) drives closed-loop StateInquiry
-// round trips over C concurrent connections against a reactor server and
-// the thread-per-connection baseline, reporting ops/sec and p50/p99
-// latency per rung. This is the tentpole claim of the reactor rewrite:
-// throughput must hold as C grows past the point where a thread per
-// socket stops being a sane resource model.
-#include <algorithm>
+// round trips over C concurrent connections, reporting ops/sec and
+// p50/p99 latency per rung, with handlers inline on the loop shards and
+// on the default worker pool. The claim under test: throughput holds as C
+// grows, where a thread per socket stops being a sane resource model.
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -24,8 +22,11 @@
 #include "reldev/util/serial.hpp"
 #include "reldev/util/table.hpp"
 
+#include "percentile.hpp"
+
 using namespace reldev;
 using namespace std::chrono_literals;
+using bench::percentile;
 using Clock = std::chrono::steady_clock;
 
 namespace {
@@ -129,16 +130,8 @@ class LoadGen {
     summary.ops = latencies.size();
     summary.ops_per_sec =
         measured_seconds > 0 ? static_cast<double>(summary.ops) / measured_seconds : 0;
-    if (!latencies.empty()) {
-      std::sort(latencies.begin(), latencies.end());
-      const auto at = [&](double q) {
-        const auto idx = static_cast<std::size_t>(
-            q * static_cast<double>(latencies.size() - 1));
-        return latencies[idx];
-      };
-      summary.p50_us = at(0.50);
-      summary.p99_us = at(0.99);
-    }
+    summary.p50_us = percentile(latencies, 0.50);
+    summary.p99_us = percentile(latencies, 0.99);
     return summary;
   }
 
@@ -266,22 +259,10 @@ struct ModeConfig {
 /// The configurations every rung measures. The gated reactor config runs
 /// handlers inline on the loop shards — the right setting for this
 /// bench's CPU-only handler, and the configuration the scaling claim is
-/// about — on the portable epoll backend. reactor-uring prefers io_uring
-/// (falling back to epoll where the kernel lacks it); measured here it
-/// trades some peak throughput for a much flatter p99, worth a row of its
-/// own. reactor-pool shows what the default worker-pool hop costs; the
-/// thread-per-connection baseline is what the reactor replaced.
-const std::array<ModeConfig, 4> kModes{{
-    {"reactor",
-     {.mode = net::tcp::ServerOptions::Mode::kReactor,
-      .inline_handlers = true}},
-    {"reactor-uring",
-     {.mode = net::tcp::ServerOptions::Mode::kReactor,
-      .inline_handlers = true,
-      .backend = net::tcp::EventLoop::Backend::kIoUring}},
-    {"reactor-pool", {.mode = net::tcp::ServerOptions::Mode::kReactor}},
-    {"thread-per-conn",
-     {.mode = net::tcp::ServerOptions::Mode::kThreadPerConnection}},
+/// about. reactor-pool shows what the default worker-pool hop costs.
+const std::array<ModeConfig, 2> kModes{{
+    {"reactor", {.inline_handlers = true}},
+    {"reactor-pool", {}},
 }};
 
 /// One rung: start a server in `mode`, drive `clients` connections for the
@@ -341,7 +322,7 @@ int main(int argc, char** argv) {
                    "ops", "errors"});
   table.set_title(
       "SCALE: closed-loop StateInquiry round trips at C concurrent "
-      "connections — reactor shards vs a thread per socket");
+      "connections — reactor, handlers inline vs on the worker pool");
 
   struct Row {
     std::size_t clients;
@@ -393,40 +374,31 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  // Acceptance gates. The 16-client rung tolerates scheduler noise (single
-  // shared box). The scaling gate runs at the top rung measured: where the
-  // thread-per-connection collapse lands depends on cores — on a 1-core
-  // host the crossover sits between 1k and 4k clients (at 1k the kernel
-  // still schedules a thousand mostly-blocked threads respectably; at 4k
-  // it no longer does), so intermediate rungs are reported, not gated.
-  const auto find = [&](std::size_t clients,
-                        const char* mode) -> const Summary* {
+  // Acceptance gate: the reactor's throughput at the ladder's top rung
+  // holds at least half its 16-client throughput. On a single-core host a
+  // thread per socket fell to 0.30x at 4000 clients while the reactor
+  // held 0.67x (EXPERIMENTS.md §SCALE), so the bound still catches that
+  // collapse. Single-rung runs (--clients) are not gated.
+  const auto reactor_at = [&](std::size_t clients) -> const Summary* {
     for (const Row& row : rows) {
-      if (row.clients == clients && std::strcmp(row.mode, mode) == 0) {
+      if (row.clients == clients && std::strcmp(row.mode, "reactor") == 0) {
         return &row.summary;
       }
     }
     return nullptr;
   };
   bool ok = true;
-  if (const Summary* reactor = find(16, "reactor")) {
-    const Summary* baseline = find(16, "thread-per-conn");
-    const bool pass =
-        baseline != nullptr &&
-        reactor->ops_per_sec >= 0.75 * baseline->ops_per_sec;
-    ok = ok && pass;
-    std::cout << (pass ? "PASS" : "FAIL")
-              << ": reactor holds the 16-client baseline (>= 0.75x)\n";
-  }
   const std::size_t top = ladder.back();
-  if (top >= 1000) {
-    const Summary* reactor = find(top, "reactor");
-    const Summary* baseline = find(top, "thread-per-conn");
-    const bool pass = reactor != nullptr && baseline != nullptr &&
-                      reactor->ops_per_sec >= 2.0 * baseline->ops_per_sec;
-    ok = ok && pass;
-    std::cout << (pass ? "PASS" : "FAIL") << ": reactor >= 2x "
-              << "thread-per-connection at " << top << " clients\n";
+  const Summary* base = reactor_at(16);
+  if (base != nullptr && top > 16) {
+    const Summary* high = reactor_at(top);
+    const double ratio = base->ops_per_sec > 0
+                             ? high->ops_per_sec / base->ops_per_sec
+                             : 0;
+    ok = ratio >= 0.5;
+    std::cout << (ok ? "PASS" : "FAIL") << ": reactor at " << top
+              << " clients holds " << TextTable::fmt(ratio, 2)
+              << "x its 16-client ops/sec (>= 0.5x)\n";
   }
   return ok ? 0 : 1;
 }

@@ -25,20 +25,16 @@
 #include "reldev/util/table.hpp"
 #include "reldev/util/thread_annotations.hpp"
 
+#include "percentile.hpp"
+
 using namespace reldev;
+using bench::percentile;
 using Clock = std::chrono::steady_clock;
 
 namespace {
 
 constexpr std::size_t kBlocks = 256;
 constexpr std::size_t kBlockSize = 4096;
-
-double percentile(std::vector<double> samples, double p) {
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      p * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
-}
 
 struct RowResult {
   std::string mode;        // "per-op-fsync" | "journal"

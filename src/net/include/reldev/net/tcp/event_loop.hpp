@@ -1,8 +1,8 @@
 // EventLoop: the non-blocking I/O core under the reactor server. One loop
-// owns one OS readiness/completion facility (an epoll instance, or an
-// io_uring when built and supported) and runs on exactly one thread; the
-// server shards connections across N loops so the hot path scales with
-// cores instead of with connection count.
+// owns one epoll instance and runs on exactly one thread; the server
+// shards connections across N loops so the hot path scales with cores
+// instead of with connection count. The epoll state stays behind this
+// interface, out of the server's and the benches' sight.
 //
 // Threading contract:
 //   * run() is called once, on the thread that will own the loop;
@@ -21,8 +21,8 @@
 // drops pending operations WITHOUT invoking their handlers; the caller
 // closes the fd itself afterwards. Every fd that ever had an operation
 // armed MUST be cancel()ed (on the loop thread) before it is closed, even
-// when no operation is pending: backends keep per-fd readiness state —
-// epoll a persistent edge-triggered registration — that only cancel()
+// when no operation is pending: the loop keeps per-fd readiness state — a
+// persistent edge-triggered epoll registration — that only cancel()
 // releases, and a closed-then-reused fd number would inherit it.
 #pragma once
 
@@ -40,8 +40,6 @@ namespace reldev::net::tcp {
 
 class EventLoop {
  public:
-  enum class Backend : std::uint8_t { kEpoll = 0, kIoUring = 1 };
-
   /// Completion of a read/write: bytes transferred (0 = EOF on reads) or
   /// the errno-derived Status. Handlers run on the loop thread.
   using IoHandler = std::function<void(Result<std::size_t>)>;
@@ -51,23 +49,12 @@ class EventLoop {
   using Task = std::function<void()>;
   using TimerId = std::uint64_t;
 
-  /// Builds a loop on `preferred`. kIoUring falls back to epoll — with a
-  /// warning, never an error — when the backend was compiled out
-  /// (RELDEV_IO_URING=OFF) or the running kernel lacks the features we
-  /// need; epoll is the portable default. Check backend() for the result.
-  [[nodiscard]] static Result<std::unique_ptr<EventLoop>> create(
-      Backend preferred = Backend::kEpoll);
-
-  /// True when the io_uring backend is compiled in AND the running kernel
-  /// accepts io_uring_setup with the features we rely on (FAST_POLL,
-  /// EXT_ARG). Probed once per process.
-  [[nodiscard]] static bool io_uring_available();
+  /// Builds a loop: its epoll instance and cross-thread wake-up eventfd.
+  [[nodiscard]] static Result<std::unique_ptr<EventLoop>> create();
 
   virtual ~EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-
-  [[nodiscard]] virtual Backend backend() const noexcept = 0;
 
   /// Process events until stop(). Call once, on the owning thread.
   virtual void run() = 0;

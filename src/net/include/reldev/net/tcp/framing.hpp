@@ -5,10 +5,11 @@
 // decoded into garbage.
 //
 // Two consumption styles share the same layout helpers: the blocking
-// read_frame/write_frame pair (client side, thread-per-connection servers)
-// and the incremental prefix/payload helpers the event-loop reactor drives
-// from readiness callbacks (prefix parsed as soon as its 8 bytes are in,
-// CRC verified in place on the arena buffer the payload landed in).
+// read_frame/write_frame pair (the client channel, one call per socket at
+// a time) and the incremental prefix/payload helpers the event-loop
+// reactor drives from readiness callbacks (prefix parsed as soon as its 8
+// bytes are in, CRC verified in place on the arena buffer the payload
+// landed in).
 #pragma once
 
 #include <array>

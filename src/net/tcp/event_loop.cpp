@@ -1,14 +1,13 @@
-// The portable epoll backend, and the EventLoop factory. Edge-triggered
-// epoll with persistent registration: an fd is registered for
-// EPOLLIN|EPOLLOUT|EPOLLET once, the first time an op has to park, and
-// stays registered until cancel(fd). Readiness is tracked in userspace
-// flags that a returned EAGAIN clears and an epoll edge sets, so the
-// steady-state request cycle costs zero epoll_ctl calls — arming attempts
-// the syscall immediately (sockets are usually writable, and a pipelined
-// peer's next frame is often already buffered) and only a not-ready fd
-// ever touches the interest list. Immediate completions are queued and
-// dispatched from the loop body, never recursively from inside the arming
-// call, and only after the loop is done touching the fd.
+// The EventLoop implementation: edge-triggered epoll with persistent
+// registration. An fd is registered for EPOLLIN|EPOLLOUT|EPOLLET once, the
+// first time an op has to park, and stays registered until cancel(fd).
+// Readiness is tracked in userspace flags that a returned EAGAIN clears and
+// an epoll edge sets, so the steady-state request cycle costs zero epoll_ctl
+// calls — arming attempts the syscall immediately (sockets are usually
+// writable, and a pipelined peer's next frame is often already buffered) and
+// only a not-ready fd ever touches the interest list. Immediate completions
+// are queued and dispatched from the loop body, never recursively from
+// inside the arming call, and only after the loop is done touching the fd.
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -18,12 +17,18 @@
 #include <array>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <deque>
+#include <memory>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "event_loop_internal.hpp"
+#include "reldev/net/tcp/event_loop.hpp"
 #include "reldev/util/logging.hpp"
 #include "reldev/util/thread_annotations.hpp"
 
@@ -31,7 +36,84 @@ namespace reldev::net::tcp {
 
 namespace {
 
-using detail::PendingOp;
+/// One armed I/O operation. Owned by the loop until its completion handler
+/// has been invoked (or the op was cancelled).
+struct PendingOp {
+  enum class Kind : std::uint8_t { kAccept, kRead, kWrite };
+
+  Kind kind = Kind::kRead;
+  int fd = -1;
+  // The iovec array is copied at arm time (the caller's span may die), but
+  // the buffers it points into must outlive the operation.
+  std::array<iovec, EventLoop::kMaxIov> iov{};
+  unsigned iov_count = 0;
+  EventLoop::IoHandler io_handler;
+  EventLoop::AcceptHandler accept_handler;
+};
+
+/// Min-heap of one-shot timers with lazy cancellation (cancelled ids stay
+/// in the heap and are skipped when they surface). Loop-thread-only.
+class TimerHeap {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  EventLoop::TimerId add(std::chrono::milliseconds delay,
+                         EventLoop::Task task) {
+    const EventLoop::TimerId id = next_id_++;
+    heap_.push_back(Entry{Clock::now() + delay, id, std::move(task)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return id;
+  }
+
+  void cancel(EventLoop::TimerId id) { cancelled_.insert(id); }
+
+  /// Milliseconds until the nearest live timer (>= 0), or nullopt when no
+  /// timers are armed.
+  [[nodiscard]] std::optional<int> next_timeout_ms() {
+    drop_cancelled_top();
+    if (heap_.empty()) return std::nullopt;
+    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+        heap_.front().deadline - Clock::now());
+    return static_cast<int>(std::max<std::int64_t>(remaining.count(), 0));
+  }
+
+  /// Pop every timer due now, in deadline order.
+  [[nodiscard]] std::vector<EventLoop::Task> take_due() {
+    std::vector<EventLoop::Task> due;
+    const auto now = Clock::now();
+    for (;;) {
+      drop_cancelled_top();
+      if (heap_.empty() || heap_.front().deadline > now) break;
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      due.push_back(std::move(heap_.back().task));
+      heap_.pop_back();
+    }
+    return due;
+  }
+
+ private:
+  struct Entry {
+    Clock::time_point deadline;
+    EventLoop::TimerId id;
+    EventLoop::Task task;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      return a.deadline > b.deadline;
+    }
+  };
+
+  void drop_cancelled_top() {
+    while (!heap_.empty() && cancelled_.erase(heap_.front().id) > 0) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
+  }
+
+  std::vector<Entry> heap_;
+  std::unordered_set<EventLoop::TimerId> cancelled_;
+  EventLoop::TimerId next_id_ = 1;
+};
 
 Status errno_status(const char* what) {
   return errors::io_error(std::string(what) + ": " + std::strerror(errno));
@@ -94,10 +176,6 @@ class EpollLoop final : public EventLoop {
   ~EpollLoop() override {
     ::close(event_fd_);
     ::close(epoll_fd_);
-  }
-
-  [[nodiscard]] Backend backend() const noexcept override {
-    return Backend::kEpoll;
   }
 
   void run() override {
@@ -365,22 +443,12 @@ class EpollLoop final : public EventLoop {
   FdMap fds_;
   std::deque<ReadyCompletion> ready_;
   std::vector<std::unique_ptr<PendingOp>> op_pool_;
-  detail::TimerHeap timers_;
+  TimerHeap timers_;
 };
 
 }  // namespace
 
-bool EventLoop::io_uring_available() { return detail::probe_io_uring(); }
-
-Result<std::unique_ptr<EventLoop>> EventLoop::create(Backend preferred) {
-  if (preferred == Backend::kIoUring) {
-    if (auto loop = detail::make_io_uring_loop(); loop != nullptr) {
-      return {std::move(loop)};
-    }
-    RELDEV_WARN("event-loop")
-        << "io_uring backend unavailable (compiled out or kernel lacks "
-           "required features); falling back to epoll";
-  }
+Result<std::unique_ptr<EventLoop>> EventLoop::create() {
   return EpollLoop::make();
 }
 

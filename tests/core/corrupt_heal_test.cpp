@@ -3,6 +3,7 @@
 // engine demotes it and refills it from peers, and the damaged bytes are
 // never served to a client.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <optional>
@@ -24,11 +25,11 @@ storage::BlockData payload(std::uint8_t tag) {
 class CorruptHealTest : public ::testing::TestWithParam<SchemeKind> {
  protected:
   CorruptHealTest() {
+    // One directory per test process: ctest runs the cases in parallel.
     dir_ = std::filesystem::temp_directory_path() /
            ("reldev_heal_" +
             std::string(scheme_kind_name(GetParam())) + "_" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed()));
+            std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     PersistentOptions persist;
     persist.directory = dir_.string();
