@@ -141,7 +141,8 @@ BENCHMARK(BM_AcFullRecovery);
 
 // The device path over real sockets: a voting group of `sites` replicas,
 // each behind its own TCP server on loopback, the coordinator's quorum
-// rounds fanned out by the FanOut dispatcher. The in-process numbers above
+// rounds scattered and gathered by the calling thread over one socket per
+// peer. The in-process numbers above
 // measure the protocol engines; this measures what a deployment pays —
 // and what the parallel fan-out saves (the round costs the slowest peer's
 // RTT, not the sum of all of them).

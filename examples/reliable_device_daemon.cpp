@@ -21,7 +21,6 @@
 #include "reldev/core/naive_replica.hpp"
 #include "reldev/core/scrub_daemon.hpp"
 #include "reldev/core/voting_replica.hpp"
-#include "reldev/net/fanout.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/net/tcp/tcp_server.hpp"
 #include "reldev/storage/file_block_store.hpp"
@@ -86,8 +85,6 @@ int main(int argc, char** argv) {
                 "reactor event-loop shards (0 = hardware concurrency)");
   flags.add_int("handler-threads", 0,
                 "reactor handler worker threads (0 = auto)");
-  flags.add_int("fanout-threads", 0,
-                "shared fan-out pool size (0 = max(8, hardware threads))");
   flags.add_int("scrub-interval", 0,
                 "anti-entropy scrub cycle interval in ms (0 = scrubbing off)");
   flags.add_int("scrub-throttle", 0,
@@ -144,10 +141,6 @@ int main(int argc, char** argv) {
     fresh = true;
   }
 
-  if (const auto threads = flags.get_int("fanout-threads"); threads > 0) {
-    net::FanOut::set_shared_thread_count(static_cast<std::size_t>(threads));
-  }
-
   // Wire up the peer transport.
   net::tcp::TcpPeerTransport transport;
   transport.set_call_timeout(
@@ -181,7 +174,9 @@ int main(int argc, char** argv) {
   server_options.handler_threads =
       static_cast<std::size_t>(flags.get_int("handler-threads"));
   // Replica handlers block (storage I/O, peer fan-out), so handlers stay
-  // on the worker pool; inline_handlers is for CPU-only handlers.
+  // on the worker pool; inline_handlers is for CPU-only handlers. Vote
+  // requests, which only read in-memory versions, are answered on the
+  // loop either way.
 
   auto server = net::tcp::TcpServer::start(
       static_cast<std::uint16_t>(flags.get_int("port")), replica.get(),

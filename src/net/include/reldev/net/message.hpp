@@ -262,6 +262,12 @@ struct Message {
 
   [[nodiscard]] std::vector<std::byte> encode() const;
   static Result<Message> decode(std::span<const std::byte> raw);
+
+  /// Whether an encoded message is a VoteRequest or RangeVoteRequest, read
+  /// from its kind tag alone — the rest of the bytes are not decoded (nor
+  /// validated: decode() still does that).
+  [[nodiscard]] static bool is_vote_request(
+      std::span<const std::byte> raw) noexcept;
 };
 
 /// Builds an ErrorReply message from a Status.

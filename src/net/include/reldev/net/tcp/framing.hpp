@@ -5,10 +5,11 @@
 // decoded into garbage.
 //
 // Two consumption styles share the same layout helpers: the blocking
-// read_frame/write_frame pair (the client channel, one call per socket at
-// a time) and the incremental prefix/payload helpers the event-loop
-// reactor drives from readiness callbacks (prefix parsed as soon as its 8
-// bytes are in, CRC verified in place on the arena buffer the payload
+// read_frame/write_frame pair (tests and tools that hold a plain blocking
+// socket) and the incremental prefix/payload helpers that non-blocking
+// readers drive — the event-loop reactor from readiness callbacks, the
+// client's poll-driven gather from poll() results (prefix parsed as soon
+// as its 8 bytes are in, CRC verified in place on the buffer the payload
 // landed in).
 #pragma once
 
@@ -43,6 +44,11 @@ inline constexpr std::size_t kFrameTrailerSize = 4;  // CRC-32C
 /// Decodes the little-endian CRC trailer (exactly kFrameTrailerSize bytes).
 [[nodiscard]] std::uint32_t decode_frame_trailer(
     std::span<const std::byte> trailer);
+
+/// The whole frame — prefix, payload, CRC trailer — in one buffer, ready
+/// for a single send. kInvalidArgument above kMaxFramePayload.
+[[nodiscard]] Result<std::vector<std::byte>> encode_frame(
+    std::span<const std::byte> payload);
 
 [[nodiscard]] Status write_frame(Socket& socket, std::span<const std::byte> payload);
 

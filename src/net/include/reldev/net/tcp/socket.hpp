@@ -33,11 +33,16 @@ class Socket {
       const std::string& host, std::uint16_t port,
       std::optional<std::chrono::milliseconds> timeout = std::nullopt);
 
-  /// Bound every subsequent recv/send. A recv that exceeds the bound fails
-  /// with kUnavailable ("timed out") instead of hanging; zero or negative
-  /// durations clear the bound.
-  void set_recv_timeout(std::chrono::milliseconds timeout) noexcept;
-  void set_send_timeout(std::chrono::milliseconds timeout) noexcept;
+  /// Start a connect without waiting for it: the socket comes back
+  /// non-blocking, its connect either done or still in progress. Poll the
+  /// fd for POLLOUT, then read the outcome with connect_result(). A refused
+  /// or unroutable address that fails at once is kUnavailable here.
+  static Result<Socket> connect_async(const std::string& host,
+                                      std::uint16_t port);
+
+  /// Outcome of a connect_async once the fd polled writable (or errored):
+  /// OK, or kUnavailable with the reason.
+  [[nodiscard]] Status connect_result() const;
 
   /// Switch O_NONBLOCK on or off. Event-loop-owned sockets run non-blocking
   /// (all waiting happens in the loop, never in a syscall); the blocking

@@ -1,24 +1,28 @@
 // Client side of the TCP message protocol: a channel that sends one framed
-// Message and blocks for the framed reply, reconnecting on demand; and a
+// Message and waits for the framed reply, reconnecting on demand; and a
 // Transport implementation that routes per-site over such channels so the
 // same protocol engines that run in-process can run across real processes.
 //
 // Concurrency: a channel keeps a small pool of connections per endpoint, so
 // concurrent calls to the same peer each get their own socket instead of
-// serializing on one mutex. The transport fans multicasts out over the
-// shared FanOut pool and gathers replies as they land; an EarlyStop
-// predicate lets a quorum return before the stragglers, whose late replies
-// are still metered.
+// serializing on one mutex. A multicast is a caller-driven scatter-gather:
+// the calling thread writes the request to one socket per peer, then waits
+// in one poll() over those sockets until an EarlyStop predicate holds,
+// every peer has answered, or the deadline passes — no worker pool, no
+// thread hand-off. A straggler left behind by an early stop is parked on
+// its channel as *owed*; a later call on that channel (or the transport's
+// destructor) reads and meters its reply, and reuses the socket.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "reldev/net/fanout.hpp"
 #include "reldev/net/tcp/framing.hpp"
 #include "reldev/net/transport.hpp"
 #include "reldev/util/thread_annotations.hpp"
@@ -51,14 +55,15 @@ class TcpChannel {
              std::chrono::milliseconds timeout = kDefaultCallTimeout,
              const PoolOptions& pool = PoolOptions{});
 
-  /// Send `request`, wait for the reply, bounded by the channel timeout.
-  /// Reconnects and retries ONLY while the request was provably not
-  /// delivered (the frame write failed on a stale pooled socket); once the
-  /// frame is fully written the request may be executing, so a reply
-  /// failure is surfaced instead of replayed — at-most-once per call.
-  /// Retrying a possibly-executed request is the caller's decision (see
-  /// core::RetryPolicy). Deadline overruns are kUnavailable; a CRC-
-  /// rejected reply is the typed kCorruption.
+  /// Send `request`, wait for the reply, bounded by the channel timeout: a
+  /// gather of one over the transport's scatter-gather path. Resends on
+  /// another socket ONLY while the request was provably not delivered (a
+  /// pooled socket found stale before the write, or a frame write that
+  /// failed on one); once the frame is fully written the request may be
+  /// executing, so a reply failure is surfaced instead of replayed —
+  /// at-most-once per call. Retrying a possibly-executed request is the
+  /// caller's decision (see core::RetryPolicy). Deadline overruns are
+  /// kUnavailable; a CRC-rejected reply is the typed kCorruption.
   [[nodiscard]] Result<Message> call(const Message& request);
 
   /// Drop all idle pooled connections (next calls reconnect). Calls in
@@ -85,13 +90,40 @@ class TcpChannel {
   /// Idle sockets currently parked.
   [[nodiscard]] std::size_t idle_connections() const RELDEV_EXCLUDES(mutex_);
 
+  /// Wait for every owed reply until its deadline, metering each one that
+  /// arrives; closes the sockets. Blocking — for the transport's
+  /// destructor.
+  void drain_owed() RELDEV_EXCLUDES(mutex_);
+
  private:
-  /// Pop an idle pooled socket, or connect a fresh one within `remaining`.
-  /// `pooled` reports which happened (pooled sockets may be stale). The
-  /// connect itself runs outside the lock — only the pool is guarded.
-  [[nodiscard]] Result<Socket> acquire(bool& pooled, std::chrono::milliseconds remaining)
-      RELDEV_EXCLUDES(mutex_);
+  friend class Gather;
+
+  /// The incremental reader of one reply frame on a non-blocking socket.
+  struct ReplyReader {
+    std::array<std::byte, kFramePrefixSize> prefix{};
+    std::vector<std::byte> body;  // payload + CRC trailer, once sized
+    std::size_t got = 0;          // bytes of the current part read so far
+    bool in_body = false;
+  };
+
+  /// A straggler's socket: its request is written and its reply not yet
+  /// read. The meter and operation are the ones active when its round
+  /// started, so the late reply lands in the right bucket (DESIGN.md §7).
+  struct Owed {
+    Socket socket;
+    ReplyReader reader;
+    std::chrono::steady_clock::time_point deadline;
+    TrafficMeter* meter = nullptr;
+    OpKind kind = OpKind::kOther;
+  };
+
+  /// Settle owed sockets without blocking (meter and reuse the answered,
+  /// close the expired), then pop an idle pooled socket if there is one.
+  /// The reads run outside the lock — only the pool lists are guarded.
+  [[nodiscard]] std::optional<Socket> take_idle() RELDEV_EXCLUDES(mutex_);
   void release(Socket socket) RELDEV_EXCLUDES(mutex_);
+  void owe(Owed owed) RELDEV_EXCLUDES(mutex_);
+  void count_miss() noexcept { pool_misses_.fetch_add(1); }
 
   /// An idle pooled socket and when it was parked (for age eviction).
   struct IdleSocket {
@@ -101,6 +133,8 @@ class TcpChannel {
 
   /// Drop idle entries older than the age bound or beyond the size cap.
   void evict_locked() RELDEV_REQUIRES(mutex_);
+  /// Evict, then pop the most recently parked idle socket (a pool hit).
+  [[nodiscard]] std::optional<Socket> pop_idle_locked() RELDEV_REQUIRES(mutex_);
 
   std::string host_;
   std::uint16_t port_;
@@ -108,6 +142,9 @@ class TcpChannel {
   std::chrono::milliseconds timeout_ RELDEV_GUARDED_BY(mutex_);
   PoolOptions pool_ RELDEV_GUARDED_BY(mutex_);
   std::vector<IdleSocket> idle_ RELDEV_GUARDED_BY(mutex_);
+  // Closed unmetered if still owed when the channel dies; the transport
+  // drains them first (~TcpPeerTransport).
+  std::vector<Owed> owed_ RELDEV_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> pool_hits_{0};
   std::atomic<std::uint64_t> pool_misses_{0};
 };
@@ -120,8 +157,8 @@ class TcpPeerTransport final : public Transport {
  public:
   TcpPeerTransport() = default;
 
-  /// Waits for every in-flight fan-out task (including early-stop
-  /// stragglers) before destroying the channels they use.
+  /// Drains every channel's owed sockets (early-stop stragglers) until
+  /// their deadlines, so each reply that arrives in time is metered.
   ~TcpPeerTransport() override;
 
   void set_endpoint(SiteId site, const std::string& host, std::uint16_t port)
@@ -140,8 +177,8 @@ class TcpPeerTransport final : public Transport {
   [[nodiscard]] std::uint64_t pool_misses() const RELDEV_EXCLUDES(mutex_);
 
   /// The meter must outlive this transport: straggler replies are counted
-  /// from worker threads until the destructor has drained them. Atomic —
-  /// fan-out workers read it concurrently with this setter.
+  /// by later calls and by the destructor's drain. Atomic — concurrent
+  /// calls read it while this setter runs.
   void set_traffic_meter(TrafficMeter* meter) noexcept {
     meter_.store(meter, std::memory_order_release);
   }
@@ -158,7 +195,6 @@ class TcpPeerTransport final : public Transport {
 
  private:
   std::shared_ptr<TcpChannel> channel(SiteId site) RELDEV_EXCLUDES(mutex_);
-  void count(std::uint64_t transmissions) const;
   /// Channels for every member of `to` except `from` that has an endpoint.
   std::vector<std::pair<SiteId, std::shared_ptr<TcpChannel>>> channels_for(
       SiteId from, const SiteSet& to) RELDEV_EXCLUDES(mutex_);
@@ -170,12 +206,6 @@ class TcpPeerTransport final : public Transport {
       kDefaultCallTimeout};
   PoolOptions pool_options_ RELDEV_GUARDED_BY(mutex_);
   std::atomic<TrafficMeter*> meter_{nullptr};
-
-  // Outstanding fan-out tasks; the destructor blocks until zero so no task
-  // can touch a dead channel or meter.
-  Mutex outstanding_mutex_ RELDEV_ACQUIRED_AFTER(mutex_){"TcpPeerTransport.outstanding"};
-  CondVar outstanding_cv_;
-  std::size_t outstanding_ RELDEV_GUARDED_BY(outstanding_mutex_) = 0;
 };
 
 }  // namespace reldev::net::tcp

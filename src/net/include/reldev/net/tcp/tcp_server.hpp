@@ -3,9 +3,11 @@
 // boundary of the paper's Figure 1/2 — the "user-state server".
 //
 // A reactor: N epoll event-loop shards drive non-blocking frame state
-// machines; connections are assigned to shards round-robin and handlers
-// run on a small worker pool (or inline on the shard, for handlers that
-// never block). Connection count does not imply thread count.
+// machines; connections are assigned to shards round-robin. Vote
+// requests, which only read in-memory versions, are answered right there
+// on the shard; every other request runs on a small worker pool (or on
+// the shard too, for handlers that never block).
+// Connection count does not imply thread count.
 #pragma once
 
 #include <atomic>
@@ -25,12 +27,13 @@ struct ServerOptions {
   /// handlers may block (storage I/O, fan-out to peers), so the floor is
   /// set by acceptable blocking-handler concurrency, not by core count.
   std::size_t handler_threads = 0;
-  /// Run handlers directly on the owning loop shard instead of the worker
-  /// pool. Only for handlers that never block — a blocking
+  /// Run every handler call directly on the owning loop shard instead of
+  /// the worker pool. Only for handlers that never block — a blocking
   /// handler stalls every connection on its shard. Skips two cross-thread
   /// hops per request, which is the right trade for cheap CPU-only
   /// handlers; the default pool is the right one for handlers that do
-  /// storage I/O or fan out to peers.
+  /// storage I/O or fan out to peers. Vote requests are answered on the
+  /// shard whatever this says.
   bool inline_handlers = false;
   /// Close connections idle at a frame boundary for this long. Zero
   /// disables the idle reaper.

@@ -30,12 +30,12 @@ using GatherReply = std::pair<SiteId, Message>;
 
 /// Optional predicate over the replies gathered so far: return true once
 /// enough have arrived (e.g. a read quorum by weight) and the gather
-/// returns immediately. Stragglers still complete in the background — the
-/// request already went out to everyone, so their replies are still
-/// transmitted and must still be metered — but they are not appended to
-/// the returned vector. Transports may invoke the predicate from the
-/// gathering thread while holding an internal lock: it must be fast and
-/// must not call back into the transport.
+/// returns immediately. Stragglers are not appended to the returned
+/// vector, but the request already went out to everyone, so their replies
+/// are still transmitted and must still be metered — the TCP transport
+/// reads them on a later call or in its destructor. Transports may invoke
+/// the predicate from the gathering thread while holding an internal lock:
+/// it must be fast and must not call back into the transport.
 using EarlyStop = std::function<bool(const std::vector<GatherReply>&)>;
 
 class Transport {

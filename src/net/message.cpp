@@ -589,6 +589,15 @@ std::vector<std::byte> Message::encode() const {
   return std::move(writer).take();
 }
 
+bool Message::is_vote_request(std::span<const std::byte> raw) noexcept {
+  // Encoding: u32 sender, then the u8 kind tag.
+  constexpr std::size_t kTagOffset = 4;
+  if (raw.size() <= kTagOffset) return false;
+  const auto tag = static_cast<std::uint8_t>(raw[kTagOffset]);
+  return tag == static_cast<std::uint8_t>(Tag::kVoteRequest) ||
+         tag == static_cast<std::uint8_t>(Tag::kRangeVoteRequest);
+}
+
 Result<Message> Message::decode(std::span<const std::byte> raw) {
   BufferReader reader(raw);
   auto from = reader.get_u32();

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "reldev/net/tcp/event_loop.hpp"
+#include "reldev/util/lockdep.hpp"
 #include "reldev/util/logging.hpp"
 #include "reldev/util/thread_annotations.hpp"
 
@@ -179,6 +180,9 @@ class EpollLoop final : public EventLoop {
   }
 
   void run() override {
+    // Nothing on a loop thread may block: completions, posted tasks and
+    // the handlers the server answers inline all run inside this scope.
+    const lockdep::ForbidBlocking on_loop("EventLoop::run");
     while (!stopping_.load(std::memory_order_acquire)) {
       drain_posted();
       for (auto& task : timers_.take_due()) task();

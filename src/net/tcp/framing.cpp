@@ -43,7 +43,8 @@ std::uint32_t decode_frame_trailer(std::span<const std::byte> trailer) {
   return BufferReader(trailer).get_u32().value();
 }
 
-Status write_frame(Socket& socket, std::span<const std::byte> payload) {
+Result<std::vector<std::byte>> encode_frame(
+    std::span<const std::byte> payload) {
   if (payload.size() > kMaxFramePayload) {
     return errors::invalid_argument("frame payload too large");
   }
@@ -52,7 +53,13 @@ Status write_frame(Socket& socket, std::span<const std::byte> payload) {
   writer.put_raw(prefix);
   writer.put_raw(payload);
   writer.put_u32(frame_crc(prefix, payload));
-  return socket.write_all(writer.bytes());
+  return std::move(writer).take();
+}
+
+Status write_frame(Socket& socket, std::span<const std::byte> payload) {
+  auto frame = encode_frame(payload);
+  if (!frame) return frame.status();
+  return socket.write_all(frame.value());
 }
 
 Result<std::vector<std::byte>> read_frame(Socket& socket) {

@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -48,73 +47,81 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-Result<Socket> Socket::connect(const std::string& host, std::uint16_t port,
-                               std::optional<std::chrono::milliseconds> timeout) {
+Result<Socket> Socket::connect_async(const std::string& host,
+                                     std::uint16_t port) {
   lockdep::check_blocking("connect");
   auto addr = make_address(host, port);
   if (!addr) return addr.status();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return errno_status("socket");
   Socket socket(fd);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const auto unavailable = [&](const std::string& why) {
-    return errors::unavailable("connect to " + host + ":" +
-                               std::to_string(port) + ": " + why);
-  };
-  if (!timeout.has_value()) {
-    int rc;
-    do {
-      rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
-                     sizeof(sockaddr_in));
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) return unavailable(std::strerror(errno));
-    return socket;
-  }
-  // Bounded connect: non-blocking connect, poll for writability, then read
-  // the final outcome from SO_ERROR.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return errno_status("fcntl");
-  }
   int rc;
   do {
     rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
                    sizeof(sockaddr_in));
   } while (rc < 0 && errno == EINTR);
-  if (rc < 0 && errno != EINPROGRESS) return unavailable(std::strerror(errno));
-  if (rc < 0) {
-    pollfd waiter{fd, POLLOUT, 0};
-    const auto deadline = std::chrono::steady_clock::now() + *timeout;
-    for (;;) {
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) return unavailable("timed out");
-      rc = ::poll(&waiter, 1, static_cast<int>(remaining.count()));
-      if (rc > 0) break;
-      if (rc == 0) return unavailable("timed out");
-      if (errno != EINTR) return errno_status("poll");
-    }
-    int error = 0;
-    socklen_t len = sizeof(error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) < 0) {
-      return errno_status("getsockopt");
-    }
-    if (error != 0) return unavailable(std::strerror(error));
+  if (rc < 0 && errno != EINPROGRESS) {
+    return errors::unavailable("connect to " + host + ":" +
+                               std::to_string(port) + ": " +
+                               std::strerror(errno));
   }
-  if (::fcntl(fd, F_SETFL, flags) < 0) return errno_status("fcntl");
   return socket;
 }
 
-namespace {
-timeval to_timeval(std::chrono::milliseconds timeout) {
-  if (timeout.count() < 0) timeout = std::chrono::milliseconds{0};
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  return tv;
+Status Socket::connect_result() const {
+  RELDEV_EXPECTS(valid());
+  int error = 0;
+  socklen_t len = sizeof(error);
+  if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &error, &len) < 0) {
+    return errno_status("getsockopt");
+  }
+  if (error != 0) {
+    return errors::unavailable(std::string("connect: ") +
+                               std::strerror(error));
+  }
+  return Status::ok();
 }
-}  // namespace
+
+Result<Socket> Socket::connect(const std::string& host, std::uint16_t port,
+                               std::optional<std::chrono::milliseconds> timeout) {
+  auto started = connect_async(host, port);
+  if (!started) return started.status();
+  Socket socket = std::move(started).value();
+  // Wait for the outcome (bounded when a timeout is given), then hand the
+  // caller the blocking socket the read/write helpers expect.
+  pollfd waiter{socket.fd(), POLLOUT, 0};
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      timeout.value_or(std::chrono::milliseconds::zero());
+  for (;;) {
+    int wait_ms = -1;
+    if (timeout.has_value()) {
+      const auto remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              deadline - std::chrono::steady_clock::now());
+      if (remaining.count() <= 0) {
+        return errors::unavailable("connect to " + host + ":" +
+                                   std::to_string(port) + ": timed out");
+      }
+      wait_ms = static_cast<int>(remaining.count());
+    }
+    const int rc = ::poll(&waiter, 1, wait_ms);
+    if (rc > 0) break;
+    if (rc == 0) continue;  // the deadline check above reports it
+    if (errno != EINTR) return errno_status("poll");
+  }
+  if (auto status = socket.connect_result(); !status.is_ok()) {
+    return errors::unavailable("connect to " + host + ":" +
+                               std::to_string(port) + ": " +
+                               status.message());
+  }
+  if (auto status = socket.set_nonblocking(false); !status.is_ok()) {
+    return status;
+  }
+  return socket;
+}
 
 namespace {
 Status fd_set_nonblocking(int fd, bool enabled) {
@@ -138,18 +145,6 @@ Status Acceptor::set_nonblocking(bool enabled) {
   return fd_set_nonblocking(fd_, enabled);
 }
 
-void Socket::set_recv_timeout(std::chrono::milliseconds timeout) noexcept {
-  if (fd_ < 0) return;
-  const timeval tv = to_timeval(timeout);
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-void Socket::set_send_timeout(std::chrono::milliseconds timeout) noexcept {
-  if (fd_ < 0) return;
-  const timeval tv = to_timeval(timeout);
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 Status Socket::write_all(std::span<const std::byte> data) {
   RELDEV_EXPECTS(valid());
   lockdep::check_blocking("send");
@@ -159,9 +154,6 @@ Status Socket::write_all(std::span<const std::byte> data) {
         ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return errors::unavailable("send timed out");
-      }
       return errno_status("send");
     }
     sent += static_cast<std::size_t>(n);
@@ -177,11 +169,6 @@ Status Socket::read_exact(std::span<std::byte> data) {
     const ssize_t n = ::recv(fd_, data.data() + got, data.size() - got, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired: the peer is unresponsive. kUnavailable is
-        // what the replicas' fail-stop handling expects of a dead peer.
-        return errors::unavailable("recv timed out");
-      }
       return errno_status("recv");
     }
     if (n == 0) {

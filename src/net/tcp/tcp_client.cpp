@@ -1,18 +1,22 @@
 #include "reldev/net/tcp/tcp_client.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <utility>
+
+#include "reldev/util/lockdep.hpp"
 
 namespace reldev::net::tcp {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::chrono::milliseconds remaining_until(Clock::time_point deadline) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                               Clock::now());
-}
 
 }  // namespace
 
@@ -63,24 +67,6 @@ void TcpChannel::evict_locked() {
   }
 }
 
-Result<Socket> TcpChannel::acquire(bool& pooled,
-                                   std::chrono::milliseconds remaining) {
-  {
-    const MutexLock lock(mutex_);
-    evict_locked();
-    if (!idle_.empty()) {
-      Socket socket = std::move(idle_.back().socket);
-      idle_.pop_back();
-      pooled = true;
-      pool_hits_.fetch_add(1);
-      return socket;
-    }
-  }
-  pooled = false;
-  pool_misses_.fetch_add(1);
-  return Socket::connect(host_, port_, remaining);
-}
-
 void TcpChannel::release(Socket socket) {
   if (!socket.valid()) return;
   const MutexLock lock(mutex_);
@@ -89,59 +75,435 @@ void TcpChannel::release(Socket socket) {
   }
 }
 
-Result<Message> TcpChannel::call(const Message& request) {
-  const auto encoded = request.encode();
-  const auto deadline = Clock::now() + timeout();
-  // Retry-after-reconnect is only safe while the request cannot have been
-  // (even partially) executed: the server decodes nothing until a complete
-  // frame has arrived, so a failed write_frame is always replayable. Once
-  // the frame is fully written the server may be executing it, and a reply
-  // failure must surface as an error — blind replay would double-execute.
-  // Each pooled socket that turns out stale (server restart) is discarded
-  // and the next one tried; the pool is bounded, so this terminates.
-  for (;;) {
-    auto remaining = remaining_until(deadline);
-    if (remaining.count() <= 0) {
-      return errors::unavailable("call to " + host_ + ":" +
-                                 std::to_string(port_) + " timed out");
+void TcpChannel::owe(Owed owed) {
+  const MutexLock lock(mutex_);
+  owed_.push_back(std::move(owed));
+}
+
+/// One scatter-gather round, driven by the calling thread: the request
+/// frame goes out on one socket per target, then a single poll() loop over
+/// those sockets completes connects, finishes partial writes and reads the
+/// replies, until the early-stop predicate holds, every target is settled,
+/// or each target's deadline passes. Nothing here holds a lock across a
+/// syscall: the channel's pool lock guards only list operations.
+class Gather {
+ public:
+  struct Target {
+    SiteId site;
+    TcpChannel* channel;
+  };
+
+  /// One round from the calling thread: the requests are metered at once
+  /// and each reply as it lands, all under the meter and operation active
+  /// now — a straggler's late reply included.
+  static Gather round(std::span<const Target> targets, const Message& request,
+                      TrafficMeter* meter, const EarlyStop& early_stop) {
+    const OpKind kind =
+        meter != nullptr ? meter->current_op() : OpKind::kOther;
+    if (meter != nullptr) meter->add_for(kind, targets.size());
+    Gather gather(targets, request, meter, kind);
+    gather.run(early_stop);
+    return gather;
+  }
+
+  /// Replies in arrival order.
+  std::vector<GatherReply>& replies() { return replies_; }
+
+  /// A gather of one: its reply, or why there is none.
+  static Result<Message> call_one(SiteId site, TcpChannel& channel,
+                                  const Message& request,
+                                  TrafficMeter* meter) {
+    const Target target{site, &channel};
+    Gather gather = round(std::span<const Target>(&target, 1), request, meter,
+                          EarlyStop{});
+    if (!gather.replies_.empty()) {
+      return std::move(gather.replies_.front().second);
     }
-    bool pooled = false;
-    auto acquired = acquire(pooled, remaining);
-    if (!acquired) return acquired.status();
-    Socket socket = std::move(acquired).value();
-    remaining = std::max(remaining_until(deadline),
-                         std::chrono::milliseconds{1});
-    socket.set_send_timeout(remaining);
-    socket.set_recv_timeout(remaining);
-    if (auto status = write_frame(socket, encoded); !status.is_ok()) {
-      // Not delivered. A stale pooled connection fails here immediately;
-      // retry on the next (possibly fresh) socket while the deadline
-      // allows. A fresh connection failing to send is a real error.
-      if (pooled && remaining_until(deadline).count() > 0) continue;
-      return errors::unavailable("send to " + host_ + ":" +
-                                 std::to_string(port_) +
-                                 " failed: " + status.to_string());
-    }
-    auto frame = read_frame(socket);
-    if (!frame) {
-      // Delivered but unanswered: the server may have executed the
-      // request. Preserve the underlying error — a CRC reject stays the
-      // typed kCorruption — and let the caller's retry policy decide.
-      if (frame.status().code() == ErrorCode::kCorruption) {
-        return frame.status();
+    return gather.legs_.front().error;
+  }
+
+  /// Whether a reader finished its frame, is waiting for more bytes, or
+  /// (as a Status) failed.
+  enum class ReadStep { kMore, kDone };
+
+  /// Read whatever has arrived of one reply frame, without blocking. kDone
+  /// once the whole frame is in and its CRC verified (the payload is then
+  /// `reader.body` minus the trailer); kMore when the socket ran dry.
+  /// Errors: kUnavailable on EOF at the frame boundary, kIoError mid-frame
+  /// or on a socket error, kCorruption on bad magic or CRC, kProtocol on an
+  /// oversized length.
+  static Result<ReadStep> read_some(int fd, TcpChannel::ReplyReader& reader) {
+    lockdep::check_blocking("recv");
+    for (;;) {
+      const std::span<std::byte> part =
+          reader.in_body ? std::span<std::byte>(reader.body)
+                         : std::span<std::byte>(reader.prefix);
+      const ssize_t n = ::recv(fd, part.data() + reader.got,
+                               part.size() - reader.got, 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStep::kMore;
+        return errors::io_error(std::string("recv: ") + std::strerror(errno));
       }
-      return errors::unavailable("reply from " + host_ + ":" +
-                                 std::to_string(port_) +
-                                 " failed: " + frame.status().to_string());
+      if (n == 0) {
+        if (!reader.in_body && reader.got == 0) {
+          return errors::unavailable("peer closed the connection");
+        }
+        return errors::io_error("connection closed mid-frame");
+      }
+      reader.got += static_cast<std::size_t>(n);
+      if (reader.got < part.size()) continue;
+      if (!reader.in_body) {
+        auto length = parse_frame_prefix(reader.prefix);
+        if (!length) return length.status();
+        reader.body.resize(length.value() + kFrameTrailerSize);
+        reader.in_body = true;
+        reader.got = 0;
+        continue;
+      }
+      const std::size_t length = reader.body.size() - kFrameTrailerSize;
+      const std::uint32_t crc = decode_frame_trailer(
+          std::span<const std::byte>(reader.body).subspan(length));
+      if (frame_crc(reader.prefix,
+                    std::span<const std::byte>(reader.body).first(length)) !=
+          crc) {
+        return errors::corruption("frame CRC mismatch");
+      }
+      return ReadStep::kDone;
     }
-    release(std::move(socket));
-    return Message::decode(frame.value());
+  }
+
+  /// Decode a finished reader's payload.
+  static Result<Message> decode(const TcpChannel::ReplyReader& reader) {
+    return Message::decode(std::span<const std::byte>(reader.body)
+                               .first(reader.body.size() - kFrameTrailerSize));
+  }
+
+  /// Read what has arrived of an owed reply, without blocking, and meter
+  /// it into its round's meter once it is whole. An error means the
+  /// socket is dead and nothing is metered.
+  static Result<ReadStep> settle(TcpChannel::Owed& owed) {
+    auto step = read_some(owed.socket.fd(), owed.reader);
+    if (step && step.value() == ReadStep::kDone && decode(owed.reader) &&
+        owed.meter != nullptr) {
+      owed.meter->add_for(owed.kind, 1);
+    }
+    return step;
+  }
+
+  /// poll() timeout for the time left, rounded up so a sub-millisecond
+  /// remainder waits instead of spinning.
+  static int poll_ms(Clock::duration remaining) {
+    if (remaining <= Clock::duration::zero()) return 0;
+    const auto ms =
+        std::chrono::ceil<std::chrono::milliseconds>(remaining).count();
+    return static_cast<int>(
+        std::min<std::int64_t>(ms, std::numeric_limits<int>::max()));
+  }
+
+ private:
+  enum class Phase { kStart, kConnecting, kWriting, kReading, kDone };
+
+  struct Leg {
+    SiteId site = 0;
+    TcpChannel* channel = nullptr;
+    Clock::time_point deadline;
+    Phase phase = Phase::kStart;
+    Socket socket;
+    bool pooled = false;
+    std::size_t written = 0;
+    TcpChannel::ReplyReader reader;
+    Status error = Status::ok();
+  };
+
+  Gather(std::span<const Target> targets, const Message& request,
+         TrafficMeter* meter, OpKind kind)
+      : meter_(meter), kind_(kind) {
+    auto frame = encode_frame(request.encode());
+    const auto now = Clock::now();
+    legs_.reserve(targets.size());
+    for (const Target& target : targets) {
+      Leg& leg = legs_.emplace_back();
+      leg.site = target.site;
+      leg.channel = target.channel;
+      leg.deadline = now + target.channel->timeout();
+      if (!frame) {
+        leg.error = frame.status();
+        leg.phase = Phase::kDone;
+      }
+    }
+    if (frame) frame_ = std::move(frame).value();
+  }
+
+  /// Run the round. Targets still unanswered when it ends are parked as
+  /// owed on their channel if their frame is fully written (the request
+  /// may be executing; its reply is still metered later), else closed
+  /// (the request never fully left, so it cannot execute).
+  void run(const EarlyStop& early_stop) {
+    for (Leg& leg : legs_) {
+      if (leg.phase == Phase::kStart) start(leg);
+    }
+    std::vector<pollfd> fds;
+    std::vector<Leg*> polled;
+    bool fresh = true;  // replies_ changed since the predicate last ran
+    for (;;) {
+      if (early_stop && fresh && early_stop(replies_)) break;
+      fresh = false;
+      fds.clear();
+      polled.clear();
+      const auto now = Clock::now();
+      auto wake = Clock::time_point::max();
+      for (Leg& leg : legs_) {
+        if (leg.phase == Phase::kDone) continue;
+        if (now >= leg.deadline) {
+          fail(leg, errors::unavailable("call to " + endpoint(leg) +
+                                        " timed out"));
+          continue;
+        }
+        const short events = leg.phase == Phase::kReading ? POLLIN : POLLOUT;
+        fds.push_back(pollfd{leg.socket.fd(), events, 0});
+        polled.push_back(&leg);
+        wake = std::min(wake, leg.deadline);
+      }
+      if (fds.empty()) break;
+      lockdep::check_blocking("poll");
+      const int rc = ::poll(fds.data(), fds.size(), poll_ms(wake - now));
+      if (rc < 0) {
+        if (errno == EINTR) continue;
+        const Status status = errors::io_error(
+            std::string("poll: ") + std::strerror(errno));
+        for (Leg* leg : polled) fail(*leg, status);
+        break;
+      }
+      for (std::size_t i = 0; i < fds.size(); ++i) {
+        if (fds[i].revents == 0) continue;
+        const std::size_t before = replies_.size();
+        advance(*polled[i]);
+        fresh = fresh || replies_.size() != before;
+      }
+    }
+    for (Leg& leg : legs_) {
+      if (leg.phase == Phase::kReading) {
+        leg.channel->owe(TcpChannel::Owed{std::move(leg.socket),
+                                          std::move(leg.reader), leg.deadline,
+                                          meter_, kind_});
+      }
+      if (leg.phase != Phase::kDone) {
+        fail(leg, errors::unavailable("call to " + endpoint(leg) +
+                                      " abandoned after an early stop"));
+      }
+    }
+  }
+
+  static std::string endpoint(const Leg& leg) {
+    return leg.channel->host_ + ":" + std::to_string(leg.channel->port_);
+  }
+
+  void fail(Leg& leg, Status status) {
+    leg.socket.close();
+    leg.error = std::move(status);
+    leg.phase = Phase::kDone;
+  }
+
+  /// Give the leg a socket — a live pooled one, written to at once, or a
+  /// fresh non-blocking connect that the poll loop completes.
+  void start(Leg& leg) {
+    for (;;) {
+      if (auto idle = leg.channel->take_idle()) {
+        leg.socket = std::move(*idle);
+        leg.pooled = true;
+        leg.written = 0;
+        if (stale(leg.socket)) continue;  // nothing written: try another
+        leg.phase = Phase::kWriting;
+        write(leg);
+        return;
+      }
+      leg.channel->count_miss();
+      auto connected =
+          Socket::connect_async(leg.channel->host_, leg.channel->port_);
+      if (!connected) {
+        fail(leg, connected.status());
+        return;
+      }
+      leg.socket = std::move(connected).value();
+      leg.pooled = false;
+      leg.written = 0;
+      leg.phase = Phase::kConnecting;
+      return;
+    }
+  }
+
+  /// A pooled socket is stale when its peer has closed it (a server
+  /// restart, an idle reap) or it holds stray bytes: either way it shows
+  /// readable before any request went out on it.
+  static bool stale(const Socket& socket) {
+    std::byte probe{};
+    lockdep::check_blocking("recv");
+    const ssize_t n =
+        ::recv(socket.fd(), &probe, 1, MSG_PEEK | MSG_DONTWAIT);
+    return !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+  }
+
+  void write(Leg& leg) {
+    lockdep::check_blocking("send");
+    while (leg.written < frame_.size()) {
+      const ssize_t n = ::send(leg.socket.fd(), frame_.data() + leg.written,
+                               frame_.size() - leg.written, MSG_NOSIGNAL);
+      if (n >= 0) {
+        leg.written += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // poll POLLOUT
+      // Not delivered: the server decodes nothing before a complete frame,
+      // so a failed write on a pooled socket (stale after a restart) is
+      // safely resent on another. A fresh connection failing is real.
+      const std::string why = std::strerror(errno);
+      if (leg.pooled && Clock::now() < leg.deadline) {
+        leg.socket.close();
+        start(leg);
+        return;
+      }
+      fail(leg, errors::unavailable("send to " + endpoint(leg) +
+                                    " failed: " + why));
+      return;
+    }
+    leg.phase = Phase::kReading;
+  }
+
+  void advance(Leg& leg) {
+    switch (leg.phase) {
+      case Phase::kConnecting: {
+        if (auto status = leg.socket.connect_result(); !status.is_ok()) {
+          fail(leg, errors::unavailable("connect to " + endpoint(leg) + ": " +
+                                        status.message()));
+          return;
+        }
+        leg.phase = Phase::kWriting;
+        write(leg);
+        return;
+      }
+      case Phase::kWriting:
+        write(leg);
+        return;
+      case Phase::kReading:
+        read(leg);
+        return;
+      case Phase::kStart:
+      case Phase::kDone:
+        return;
+    }
+  }
+
+  void read(Leg& leg) {
+    auto step = read_some(leg.socket.fd(), leg.reader);
+    if (!step) {
+      // Delivered but unanswered: the server may have executed the
+      // request. A CRC reject stays the typed kCorruption; the caller's
+      // retry policy decides the rest.
+      Status status = step.status();
+      if (status.code() != ErrorCode::kCorruption) {
+        status = errors::unavailable("reply from " + endpoint(leg) +
+                                     " failed: " + status.to_string());
+      }
+      fail(leg, std::move(status));
+      return;
+    }
+    if (step.value() == ReadStep::kMore) return;
+    auto reply = decode(leg.reader);
+    leg.channel->release(std::move(leg.socket));
+    leg.phase = Phase::kDone;
+    if (!reply) {
+      leg.error = reply.status();
+      return;
+    }
+    if (meter_ != nullptr) meter_->add_for(kind_, 1);
+    replies_.emplace_back(leg.site, std::move(reply).value());
+  }
+
+  std::vector<std::byte> frame_;  // the encoded request, sent to every leg
+  TrafficMeter* meter_;
+  OpKind kind_;
+  std::vector<Leg> legs_;
+  std::vector<GatherReply> replies_;
+};
+
+std::optional<Socket> TcpChannel::pop_idle_locked() {
+  evict_locked();
+  if (idle_.empty()) return std::nullopt;
+  Socket socket = std::move(idle_.back().socket);
+  idle_.pop_back();
+  pool_hits_.fetch_add(1);
+  return socket;
+}
+
+std::optional<Socket> TcpChannel::take_idle() {
+  std::vector<Owed> owed;
+  {
+    const MutexLock lock(mutex_);
+    if (owed_.empty()) return pop_idle_locked();
+    owed.swap(owed_);
+  }
+  // Settle stragglers from earlier rounds: a reply that has arrived is
+  // metered into its round's meter and its socket rejoins the pool; one
+  // past its deadline is closed unmetered, like a timed-out call.
+  std::vector<Socket> answered;
+  std::vector<Owed> waiting;
+  const auto now = Clock::now();
+  for (Owed& entry : owed) {
+    auto step = Gather::settle(entry);
+    if (!step) continue;  // failed: closed, nothing to meter
+    if (step.value() == Gather::ReadStep::kDone) {
+      answered.push_back(std::move(entry.socket));
+    } else if (now < entry.deadline) {
+      waiting.push_back(std::move(entry));
+    }
+  }
+  const MutexLock lock(mutex_);
+  for (Owed& entry : waiting) owed_.push_back(std::move(entry));
+  for (Socket& socket : answered) {
+    if (idle_.size() < pool_.max_idle) {
+      idle_.push_back(IdleSocket{std::move(socket), now});
+    }
+  }
+  return pop_idle_locked();
+}
+
+void TcpChannel::drain_owed() {
+  std::vector<Owed> owed;
+  {
+    const MutexLock lock(mutex_);
+    owed.swap(owed_);
+  }
+  // Deadlines are absolute and the replies travel in parallel, so waiting
+  // for them one after another costs no more than the latest deadline.
+  for (Owed& entry : owed) {
+    for (;;) {
+      auto step = Gather::settle(entry);
+      if (!step || step.value() == Gather::ReadStep::kDone) break;
+      const auto remaining = entry.deadline - Clock::now();
+      if (remaining <= Clock::duration::zero()) break;
+      pollfd waiter{entry.socket.fd(), POLLIN, 0};
+      lockdep::check_blocking("poll");
+      if (::poll(&waiter, 1, Gather::poll_ms(remaining)) < 0 &&
+          errno != EINTR) {
+        break;
+      }
+    }
   }
 }
 
+Result<Message> TcpChannel::call(const Message& request) {
+  return Gather::call_one(0, *this, request, nullptr);
+}
+
 TcpPeerTransport::~TcpPeerTransport() {
-  const MutexLock lock(outstanding_mutex_);
-  while (outstanding_ != 0) outstanding_cv_.wait(outstanding_mutex_);
+  std::vector<std::shared_ptr<TcpChannel>> channels;
+  {
+    const MutexLock lock(mutex_);
+    for (const auto& [site, channel] : channels_) channels.push_back(channel);
+  }
+  for (const auto& channel : channels) channel->drain_owed();
 }
 
 void TcpPeerTransport::set_endpoint(SiteId site, const std::string& host,
@@ -203,21 +565,14 @@ TcpPeerTransport::channels_for(SiteId from, const SiteSet& to) {
   return targets;
 }
 
-void TcpPeerTransport::count(std::uint64_t transmissions) const {
-  TrafficMeter* const meter = meter_.load(std::memory_order_acquire);
-  if (meter != nullptr) meter->add(transmissions);
-}
-
 Result<Message> TcpPeerTransport::call(SiteId /*from*/, SiteId to,
                                        const Message& request) {
   auto ch = channel(to);
   if (ch == nullptr) {
     return errors::unavailable("no endpoint for site " + std::to_string(to));
   }
-  count(1);
-  auto reply = ch->call(request);
-  if (reply) count(1);
-  return reply;
+  TrafficMeter* const meter = meter_.load(std::memory_order_acquire);
+  return Gather::call_one(to, *ch, request, meter);
 }
 
 Status TcpPeerTransport::send(SiteId from, SiteId to, const Message& message) {
@@ -230,7 +585,7 @@ Status TcpPeerTransport::send(SiteId from, SiteId to, const Message& message) {
 
 Status TcpPeerTransport::multicast(SiteId from, const SiteSet& to,
                                    const Message& message) {
-  // Concurrent call-and-discard to every peer: the round costs the slowest
+  // A full gather with the replies discarded: the round costs the slowest
   // peer's round trip, not the sum, and the acks are in before we return
   // (the engines rely on pushed writes being applied when multicast ends).
   (void)multicast_call(from, to, message, EarlyStop{});
@@ -240,67 +595,17 @@ Status TcpPeerTransport::multicast(SiteId from, const SiteSet& to,
 std::vector<GatherReply> TcpPeerTransport::multicast_call(
     SiteId from, const SiteSet& to, const Message& request,
     const EarlyStop& early_stop) {
-  struct GatherState {
-    Mutex mutex{"TcpPeerTransport.GatherState.mutex"};
-    CondVar cv;
-    std::vector<GatherReply> replies RELDEV_GUARDED_BY(mutex);
-    std::size_t pending RELDEV_GUARDED_BY(mutex) = 0;
-    bool stopped RELDEV_GUARDED_BY(mutex) = false;
-  };
-
-  auto targets = channels_for(from, to);
+  const auto targets = channels_for(from, to);
   if (targets.empty()) return {};
-
-  // Tasks may run past this call's return (early stop): everything they
-  // touch is either shared (state, request) or guaranteed to outlive the
-  // transport (the meter), and the destructor drains `outstanding_`.
-  auto state = std::make_shared<GatherState>();
-  state->pending = targets.size();
-  auto shared_request = std::make_shared<const Message>(request);
-  TrafficMeter* const meter = meter_.load(std::memory_order_acquire);
-  const OpKind kind = meter != nullptr ? meter->current_op() : OpKind::kOther;
-
-  {
-    const MutexLock lock(outstanding_mutex_);
-    outstanding_ += targets.size();
+  std::vector<Gather::Target> legs;
+  legs.reserve(targets.size());
+  for (const auto& [site, ch] : targets) {
+    legs.push_back(Gather::Target{site, ch.get()});
   }
-  count(targets.size());  // one request transmission per addressed peer
-
-  for (auto& [site, ch] : targets) {
-    FanOut::shared().submit(
-        [this, site = site, ch = ch, shared_request, state, meter, kind] {
-          auto reply = ch->call(*shared_request);
-          // Meter the reply even if the gather already returned: the
-          // straggler's answer crossed the network either way.
-          if (reply.is_ok() && meter != nullptr) meter->add_for(kind, 1);
-          {
-            const MutexLock lock(state->mutex);
-            if (reply.is_ok() && !state->stopped) {
-              state->replies.emplace_back(site, std::move(reply).value());
-            }
-            --state->pending;
-          }
-          state->cv.notify_all();
-          // Last action: release the outstanding slot. The notify happens
-          // under the lock so ~TcpPeerTransport cannot resume (and free
-          // `this`) before this task is fully done with it.
-          const MutexLock lock(outstanding_mutex_);
-          --outstanding_;
-          outstanding_cv_.notify_all();
-        });
-  }
-
-  std::vector<GatherReply> gathered;
-  {
-    const MutexLock lock(state->mutex);
-    while (state->pending != 0 &&
-           !(early_stop && early_stop(state->replies))) {
-      state->cv.wait(state->mutex);
-    }
-    state->stopped = true;
-    gathered = std::move(state->replies);
-  }
-  return gathered;
+  return std::move(Gather::round(legs, request,
+                                 meter_.load(std::memory_order_acquire),
+                                 early_stop)
+                       .replies());
 }
 
 }  // namespace reldev::net::tcp

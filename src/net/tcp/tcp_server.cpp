@@ -262,15 +262,19 @@ class TcpServer::Impl {
       const std::uint32_t length = body_len;
       reading_body = false;
       read_off = 0;
-      if (server->options_.inline_handlers) {
-        // Non-blocking handlers run right here on the loop shard: no pool
-        // hop, no cross-thread wakeup per request.
+      if (server->options_.inline_handlers ||
+          Message::is_vote_request(
+              std::span<const std::byte>(body.data(), length))) {
+        // Never-blocking requests are answered right here on the loop
+        // shard: no pool hop, no cross-thread wakeup per request. Votes
+        // always are (DESIGN.md §13).
         const util::ArenaBuffer request = std::move(body);
         start_write(run_handler(server->handler_, request, length));
         return;
       }
-      // Hand the payload — still in the arena buffer, zero copies since
-      // recv — to the worker pool; the reply comes back via the loop.
+      // Everything else may block (storage I/O, fan-out to peers): hand the
+      // payload — still in the arena buffer, zero copies since recv — to
+      // the worker pool; the reply comes back via the loop.
       auto self = shared_from_this();
       // std::function requires copyable targets; the move-only arena
       // buffer rides in a shared_ptr.
@@ -287,7 +291,11 @@ class TcpServer::Impl {
     }
 
     /// Decode, dispatch, encode: the per-request work that runs on a pool
-    /// worker (default) or inline on the loop shard (inline_handlers).
+    /// worker, or on the loop shard for votes (which every handler answers
+    /// from in-memory versions, without blocking) and under
+    /// inline_handlers. The kind is read from the tag byte, so the
+    /// payload of a pool-bound request is decoded — and its block data
+    /// allocated — on the worker that uses it, not on the loop.
     static std::vector<std::byte> run_handler(MessageHandler* handler,
                                               const util::ArenaBuffer& frame,
                                               std::uint32_t length) {

@@ -1,5 +1,9 @@
 #include "reldev/storage/journaled_block_store.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -27,6 +31,18 @@ JournaledBlockStore::JournaledBlockStore(std::unique_ptr<FileBlockStore> inner,
 JournaledBlockStore::~JournaledBlockStore() = default;
 
 namespace {
+
+/// A checkpoint has just freed its folded generation — up to
+/// checkpoint_bytes of block payloads, spread over the heaps of every
+/// thread that wrote them. glibc keeps freed heap memory resident until a
+/// heap's top is free, so without a trim the process keeps the write-back
+/// table's high-water mark (and any other freed memory stranded below live
+/// data) for good. Called with no lock held; a no-op off glibc.
+void release_folded_memory() {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
+}
 
 /// How much zeroed journal to pre-write at creation: the auto-checkpoint
 /// threshold (the journal folds before outgrowing it), capped so an
@@ -282,10 +298,13 @@ Status JournaledBlockStore::wait_durable(CommitSequence sequence) {
   // the checkpoint threshold (only when no other I/O leader is active —
   // if one is, it will run this check itself when it finishes).
   Status status = Status::ok();
+  bool folded = false;
   if (!io_in_flight_ && journal_size_ > options_.checkpoint_bytes) {
     status = checkpoint_locked();
+    folded = true;
   }
   mutex_.unlock();
+  if (folded) release_folded_memory();
   return status;
 }
 
@@ -364,6 +383,7 @@ Status JournaledBlockStore::checkpoint() {
   mutex_.lock();
   const Status status = checkpoint_locked();
   mutex_.unlock();
+  release_folded_memory();
   return status;
 }
 
@@ -376,14 +396,20 @@ Status JournaledBlockStore::checkpoint_locked() {
   }
   io_in_flight_ = true;
   // Move the live dirty generation to the flushing slot (reads keep
-  // consulting it) and snapshot it for the unlocked I/O below. New writes
-  // re-dirty on top while we flush.
+  // consulting it) and list it for the unlocked I/O below. New writes
+  // re-dirty on top while we flush. The list holds pointers, not copies:
+  // unordered_map nodes never move, and only the io_in_flight_ owner (this
+  // thread, until it clears the flag) inserts into or clears flushing_, so
+  // every pointee stays put and unchanged until the fold is done.
   for (auto& [block, value] : dirty_) {
     flushing_[block] = std::move(value);
   }
   dirty_.clear();
-  std::vector<std::pair<BlockId, VersionedBlock>> to_flush(flushing_.begin(),
-                                                           flushing_.end());
+  std::vector<std::pair<BlockId, const VersionedBlock*>> to_flush;
+  to_flush.reserve(flushing_.size());
+  for (const auto& [block, value] : flushing_) {
+    to_flush.emplace_back(block, &value);
+  }
   std::optional<std::vector<std::byte>> metadata_to_flush;
   if (metadata_dirty_) {
     metadata_to_flush = metadata_;
@@ -398,8 +424,8 @@ Status JournaledBlockStore::checkpoint_locked() {
   const std::size_t fold_limit =
       flush_crash ? to_flush.size() / 2 : to_flush.size();
   for (std::size_t i = 0; i < fold_limit && status.is_ok(); ++i) {
-    status = inner_->write(to_flush[i].first, to_flush[i].second.data,
-                           to_flush[i].second.version);
+    const auto& [block, value] = to_flush[i];
+    status = inner_->write(block, value->data, value->version);
   }
   if (status.is_ok() && !flush_crash) {
     if (metadata_to_flush) {

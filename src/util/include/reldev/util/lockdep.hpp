@@ -16,10 +16,14 @@
 //     order. A potential ABBA deadlock is reported the first time the
 //     *ordering* is seen — no actual deadlock, no unlucky interleaving
 //     needed;
-//   * the raw-I/O and socket paths (fd_io.hpp, tcp/socket.cpp) call
-//     check_blocking(); if any lock is held, that is a report too — the
-//     library's contract is that no pread/pwrite/fsync/send/recv runs
-//     under a Mutex (DESIGN.md §10 convention 4);
+//   * the raw-I/O and socket paths (fd_io.hpp, tcp/socket.cpp, the TCP
+//     client's gather) call check_blocking(); if any lock is held, that is
+//     a report too — the library's contract is that no pread/pwrite/fsync/
+//     send/recv runs under a Mutex (DESIGN.md §10 convention 4);
+//   * a thread inside a ForbidBlocking scope — an event-loop thread, for
+//     the whole of EventLoop::run — reports every check_blocking() call,
+//     lock or no lock: the reactor answers some requests on the loop, and
+//     those must never reach a blocking syscall (DESIGN.md §13);
 //   * CondVar::wait cooperates: the waited mutex leaves the held stack for
 //     the duration of the sleep (waiting with *other* locks held is its
 //     own report kind) and is re-pushed, with ordering re-checked, on
@@ -46,6 +50,7 @@ enum class ViolationKind {
   kOrderInversion,     // lock acquisition closes a cycle in the order graph
   kBlockingUnderLock,  // blocking syscall invoked with >= 1 lock held
   kWaitWithLocksHeld,  // CondVar::wait with locks other than its own held
+  kBlockingOnLoop,     // blocking syscall invoked inside a ForbidBlocking scope
 };
 
 const char* violation_kind_name(ViolationKind kind) noexcept;
@@ -94,6 +99,22 @@ class AllowBlocking {
   const char* reason_;
 };
 
+/// RAII: mark the calling thread as one that must never block (an event
+/// loop thread) for the scope's lifetime. Inside it, check_blocking()
+/// reports kBlockingOnLoop whether or not a lock is held, and an
+/// AllowBlocking scope does not excuse it. `owner` names the thread's role
+/// in the report.
+class ForbidBlocking {
+ public:
+  explicit ForbidBlocking(const char* owner) noexcept;
+  ~ForbidBlocking();
+  ForbidBlocking(const ForbidBlocking&) = delete;
+  ForbidBlocking& operator=(const ForbidBlocking&) = delete;
+
+ private:
+  const char* previous_;
+};
+
 #if defined(RELDEV_LOCKDEP)
 
 /// Intern a mutex class. All mutexes registered with the same key string
@@ -128,9 +149,10 @@ struct WaitToken {
 [[nodiscard]] WaitToken wait_begin(const void* mutex);
 void wait_end(const void* mutex, const WaitToken& token);
 
-/// Report if the calling thread holds any lock: `what` names the blocking
-/// operation ("fsync", "recv", ...). One report per (top held class,
-/// operation) pair — storms collapse to their first instance.
+/// Report if the calling thread holds any lock, or runs inside a
+/// ForbidBlocking scope: `what` names the blocking operation ("fsync",
+/// "recv", ...). One report per (top held class or scope owner, operation)
+/// pair — storms collapse to their first instance.
 void check_blocking(const char* what);
 
 #else  // !RELDEV_LOCKDEP — every hook is a free inline no-op.

@@ -33,6 +33,7 @@ std::function<void(const Violation&)>& handler_slot() {
   return slot;
 }
 
+#if defined(RELDEV_LOCKDEP)
 [[noreturn]] void default_handler(const Violation& violation) {
   std::fprintf(stderr, "%s\n", violation.text.c_str());
   std::fflush(stderr);
@@ -52,10 +53,12 @@ void emit(Violation violation) {
     default_handler(violation);
   }
 }
+#endif  // RELDEV_LOCKDEP
 
 struct ThreadFlags {
   int in_hook = 0;        // re-entrancy guard (handler taking locks, ...)
   int allow_blocking = 0; // AllowBlocking scope depth
+  const char* forbid_owner = nullptr;  // innermost ForbidBlocking scope
 };
 
 ThreadFlags& flags() {
@@ -73,6 +76,8 @@ const char* violation_kind_name(ViolationKind kind) noexcept {
       return "blocking-under-lock";
     case ViolationKind::kWaitWithLocksHeld:
       return "wait-with-locks-held";
+    case ViolationKind::kBlockingOnLoop:
+      return "blocking-on-loop";
   }
   return "unknown";
 }
@@ -92,6 +97,13 @@ AllowBlocking::AllowBlocking(const char* reason) noexcept : reason_(reason) {
 }
 
 AllowBlocking::~AllowBlocking() { --flags().allow_blocking; }
+
+ForbidBlocking::ForbidBlocking(const char* owner) noexcept
+    : previous_(flags().forbid_owner) {
+  flags().forbid_owner = owner;
+}
+
+ForbidBlocking::~ForbidBlocking() { flags().forbid_owner = previous_; }
 
 #if !defined(RELDEV_LOCKDEP)
 
@@ -391,7 +403,9 @@ void wait_end(const void* mutex, const WaitToken& token) {
 
 void check_blocking(const char* what) {
   ThreadFlags& f = flags();
-  if (f.in_hook > 0 || f.allow_blocking > 0 || held().empty()) return;
+  if (f.in_hook > 0) return;
+  const bool on_loop = f.forbid_owner != nullptr;
+  if (!on_loop && (f.allow_blocking > 0 || held().empty())) return;
   const ScopedHook hook;
   const std::string stack_text = capture_stack(/*skip=*/3);
   std::string text;
@@ -399,17 +413,27 @@ void check_blocking(const char* what) {
   {
     Graph& g = graph();
     const std::lock_guard<std::mutex> lock(g.mutex);  // NOLINT
-    const std::string top = class_label_locked(g, held().back().cls);
+    const std::string top = on_loop ? std::string("loop:") + f.forbid_owner
+                                    : class_label_locked(g, held().back().cls);
     fresh = g.reported_blocking.insert(std::string(what) + '@' + top).second;
     std::ostringstream out;
-    out << "lockdep: BLOCKING CALL UNDER LOCK (" << what << ")\n"
-        << "  held:\n"
-        << describe_held_locked(g) << "\n"
-        << "  blocking call stack:\n"
-        << stack_text;
+    if (on_loop) {
+      out << "lockdep: BLOCKING CALL ON A NON-BLOCKING THREAD (" << what
+          << ") in " << f.forbid_owner << "\n";
+      if (!held().empty()) out << "  held:\n" << describe_held_locked(g) << "\n";
+    } else {
+      out << "lockdep: BLOCKING CALL UNDER LOCK (" << what << ")\n"
+          << "  held:\n"
+          << describe_held_locked(g) << "\n";
+    }
+    out << "  blocking call stack:\n" << stack_text;
     text = out.str();
   }
-  if (fresh) emit(Violation{ViolationKind::kBlockingUnderLock, text});
+  if (fresh) {
+    emit(Violation{on_loop ? ViolationKind::kBlockingOnLoop
+                           : ViolationKind::kBlockingUnderLock,
+                   text});
+  }
 }
 
 #endif  // RELDEV_LOCKDEP

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "scheme_seed_name.hpp"
 #include "reldev/core/driver_stub.hpp"
 #include "reldev/core/group.hpp"
 #include "reldev/util/rng.hpp"
@@ -324,14 +325,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          SchemeKind::kAvailableCopy,
                                          SchemeKind::kNaiveAvailableCopy),
                        ::testing::Values(0xC0FFEEull, 1987ull, 42ull)),
-    [](const auto& param_info) {
-      std::string name = scheme_kind_name(std::get<0>(param_info.param));
-      for (auto& c : name) {
-        if (c == '-') c = '_';  // gtest names must be identifiers
-      }
-      return name + "_seed" +
-             std::to_string(std::get<1>(param_info.param) & 0xFFFF);
-    });
+    [](const auto& param_info) { return scheme_seed_name(param_info); });
 
 }  // namespace
 }  // namespace reldev::core

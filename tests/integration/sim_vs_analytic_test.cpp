@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "reldev/analysis/availability.hpp"
 #include "reldev/analysis/traffic.hpp"
@@ -18,6 +20,23 @@ struct Case {
   std::size_t sites;
   double rho;
 };
+
+/// "Voting_n3_rho0_1": the parameter's name in test ids, which must be
+/// identifiers and must not depend on Case's padding bytes.
+std::string case_name(const Case& c) {
+  std::string scheme = "Voting";
+  if (c.scheme == SchemeKind::kAvailableCopy) scheme = "AvailableCopy";
+  if (c.scheme == SchemeKind::kNaiveAvailableCopy) {
+    scheme = "NaiveAvailableCopy";
+  }
+  std::ostringstream rho;
+  rho << c.rho;
+  std::string rho_text = rho.str();
+  std::replace(rho_text.begin(), rho_text.end(), '.', '_');
+  return scheme + "_n" + std::to_string(c.sites) + "_rho" + rho_text;
+}
+
+void PrintTo(const Case& c, std::ostream* os) { *os << case_name(c); }
 
 class SimVsAnalytic : public ::testing::TestWithParam<Case> {};
 
@@ -66,7 +85,10 @@ INSTANTIATE_TEST_SUITE_P(
         // Naive available copy.
         Case{SchemeKind::kNaiveAvailableCopy, 2, 0.3},
         Case{SchemeKind::kNaiveAvailableCopy, 3, 0.2},
-        Case{SchemeKind::kNaiveAvailableCopy, 4, 0.4}));
+        Case{SchemeKind::kNaiveAvailableCopy, 4, 0.4}),
+    [](const ::testing::TestParamInfo<Case>& param_info) {
+      return case_name(param_info.param);
+    });
 
 TEST(SimVsAnalyticTraffic, MulticastWriteCostsMatchFormulas) {
   // Measured per-write transmissions vs §5.1, n = 5, rho = 0.05.

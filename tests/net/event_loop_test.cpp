@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "reldev/net/tcp/socket.hpp"
+#include "reldev/util/lockdep.hpp"
 
 namespace reldev::net::tcp {
 namespace {
@@ -48,6 +49,23 @@ class EventLoopTest : public ::testing::Test {
   std::unique_ptr<EventLoop> loop_;
   std::thread thread_;
 };
+
+#if defined(RELDEV_LOCKDEP)
+TEST_F(EventLoopTest, BlockingCallOnTheLoopThreadIsReported) {
+  // run() holds a ForbidBlocking scope: a blocking syscall reached from
+  // the loop thread is a report even with no lock held.
+  std::vector<lockdep::ViolationKind> seen;
+  lockdep::reset();
+  lockdep::set_handler(
+      [&seen](const lockdep::Violation& v) { seen.push_back(v.kind); });
+  on_loop([] { lockdep::check_blocking("test-recv"); });
+  lockdep::check_blocking("test-recv");  // off the loop, no lock: clean
+  lockdep::set_handler(nullptr);
+  lockdep::reset();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], lockdep::ViolationKind::kBlockingOnLoop);
+}
+#endif
 
 TEST_F(EventLoopTest, PostRunsTaskOnLoopThread) {
   std::atomic<bool> ran{false};

@@ -1,9 +1,15 @@
-// Concurrency behaviour of the TCP transport's parallel fan-out: a
-// multicast round costs the slowest peer (not the sum), an early-stop
-// quorum returns before the straggler (whose reply is still metered), and
-// a dead peer costs one bounded deadline instead of a hang.
+// Concurrency behaviour of the TCP transport's caller-driven scatter-
+// gather: a multicast round overlaps its peers (it costs the slowest, not
+// the sum), an early-stop quorum returns before the straggler (whose reply
+// is still metered, exactly once, and whose socket is reused), a dead or
+// refusing peer costs at most one bounded deadline instead of the round,
+// and a request is resent only while it provably never left.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -17,20 +23,39 @@ namespace {
 using namespace std::chrono_literals;
 using Clock = std::chrono::steady_clock;
 
-/// Replies StateInfo after an injected per-call delay.
+/// Replies StateInfo after an injected per-call delay, and records how
+/// many calls were ever in flight at once. With a rendezvous of k, each
+/// call first waits (up to a generous bound) until k calls have been in
+/// flight together, so overlap shows as a high-water mark of k and a
+/// serialized caller shows as 1 — no wall-clock bound involved.
 class DelayHandler : public MessageHandler {
  public:
-  explicit DelayHandler(std::chrono::milliseconds delay) : delay_(delay) {}
+  explicit DelayHandler(std::chrono::milliseconds delay, int rendezvous = 0)
+      : delay_(delay), rendezvous_(rendezvous) {}
   Message handle(const Message&) override {
     calls.fetch_add(1);
+    const int now = in_flight_.fetch_add(1) + 1;
+    int seen = high_water.load();
+    while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+    }
+    const auto give_up = Clock::now() + 5s;
+    while (high_water.load() < rendezvous_ && Clock::now() < give_up) {
+      std::this_thread::sleep_for(1ms);
+    }
     std::this_thread::sleep_for(delay_);
+    in_flight_.fetch_sub(1);
+    completed.fetch_add(1);
     return Message{0, StateInfo{SiteState::kAvailable, 1, {}}};
   }
   void handle_oneway(const Message&) override {}
   std::atomic<int> calls{0};
+  std::atomic<int> completed{0};
+  std::atomic<int> high_water{0};
 
  private:
   std::chrono::milliseconds delay_;
+  int rendezvous_;
+  std::atomic<int> in_flight_{0};
 };
 
 std::chrono::milliseconds elapsed_since(Clock::time_point start) {
@@ -38,10 +63,19 @@ std::chrono::milliseconds elapsed_since(Clock::time_point start) {
                                                                start);
 }
 
+/// Block until `handler` has finished `n` calls and their replies have had
+/// time to cross loopback.
+void wait_completed(const DelayHandler& handler, int n) {
+  const auto give_up = Clock::now() + 10s;
+  while (handler.completed.load() < n && Clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(100ms);
+}
+
 TEST(TcpFanOutTest, MulticastCallOverlapsPerPeerDelays) {
-  constexpr auto kDelay = 150ms;
   constexpr int kPeers = 4;
-  DelayHandler handler(kDelay);
+  DelayHandler handler(10ms, /*rendezvous=*/kPeers);
   std::vector<std::unique_ptr<TcpServer>> servers;
   TcpPeerTransport transport;
   SiteSet peers;
@@ -51,14 +85,12 @@ TEST(TcpFanOutTest, MulticastCallOverlapsPerPeerDelays) {
     peers.insert(site);
   }
 
-  const auto start = Clock::now();
   auto replies = transport.multicast_call(0, peers, Message{0, StateInquiry{}});
-  const auto elapsed = elapsed_since(start);
 
   EXPECT_EQ(replies.size(), static_cast<std::size_t>(kPeers));
-  // Sequential fan-out would cost kPeers * kDelay = 600ms. Parallel is one
-  // delay plus overhead; 3x one delay is a generous CI margin.
-  EXPECT_LT(elapsed, 3 * kDelay) << "fan-out did not overlap peer delays";
+  // A peer-by-peer gather never has more than one handler call in flight.
+  EXPECT_EQ(handler.high_water.load(), kPeers)
+      << "fan-out did not overlap the peers";
 }
 
 TEST(TcpFanOutTest, EarlyStopReturnsBeforeStragglerAndStillMetersIt) {
@@ -126,15 +158,13 @@ TEST(TcpFanOutTest, DeadPeerCostsOneBoundedTimeout) {
 }
 
 TEST(TcpFanOutTest, ConcurrentCallsToOnePeerDoNotSerialize) {
-  constexpr auto kDelay = 150ms;
   constexpr int kCallers = 3;
-  DelayHandler handler(kDelay);
+  DelayHandler handler(10ms, /*rendezvous=*/kCallers);
   auto server = TcpServer::start(0, &handler).value();
   TcpPeerTransport transport;
   transport.set_endpoint(1, "127.0.0.1", server->port());
 
   std::atomic<int> ok{0};
-  const auto start = Clock::now();
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int i = 0; i < kCallers; ++i) {
@@ -145,12 +175,12 @@ TEST(TcpFanOutTest, ConcurrentCallsToOnePeerDoNotSerialize) {
     });
   }
   for (auto& caller : callers) caller.join();
-  const auto elapsed = elapsed_since(start);
 
   EXPECT_EQ(ok.load(), kCallers);
-  // One shared socket would serialize to kCallers * kDelay = 450ms; the
-  // per-endpoint pool runs them concurrently.
-  EXPECT_LT(elapsed, 2 * kDelay) << "channel pool serialized concurrent calls";
+  // One shared socket would serialize the calls (a high-water mark of 1);
+  // the per-endpoint pool runs them concurrently.
+  EXPECT_EQ(handler.high_water.load(), kCallers)
+      << "channel pool serialized concurrent calls";
   EXPECT_EQ(handler.calls.load(), kCallers);
 }
 
@@ -264,6 +294,149 @@ TEST(TcpFanOutTest, TransportDestructorWaitsForStragglers) {
   // freed channels; reaching this line without crashing (and under TSan
   // without a race) is the assertion.
   EXPECT_EQ(slow.calls.load(), 1);
+}
+
+TEST(TcpFanOutTest, StragglerSocketIsReusedAndItsReplyMeteredOnce) {
+  DelayHandler fast(0ms);
+  DelayHandler slow(200ms);
+  auto s1 = TcpServer::start(0, &fast).value();
+  auto s2 = TcpServer::start(0, &slow).value();
+
+  TrafficMeter meter;
+  {
+    TcpPeerTransport transport;
+    transport.set_traffic_meter(&meter);
+    transport.set_endpoint(1, "127.0.0.1", s1->port());
+    transport.set_endpoint(2, "127.0.0.1", s2->port());
+
+    auto replies = transport.multicast_call(
+        0, SiteSet{1, 2}, Message{0, StateInquiry{}},
+        [](const std::vector<GatherReply>& so_far) { return !so_far.empty(); });
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].first, 1u);
+    EXPECT_EQ(transport.pool_misses(), 2u);  // one fresh connect per peer
+    EXPECT_EQ(meter.total(), 3u);  // 2 requests + the fast reply so far
+
+    // The straggler's reply lands on its owed socket; the next call to
+    // that peer reads and meters it, then reuses the socket (a pool hit,
+    // no new connect).
+    wait_completed(slow, 1);
+    ASSERT_TRUE(transport.call(0, 2, Message{0, StateInquiry{}}).is_ok());
+    EXPECT_EQ(transport.pool_hits(), 1u);
+    EXPECT_EQ(transport.pool_misses(), 2u);
+    EXPECT_EQ(meter.total(), 6u);  // + straggler reply + request + reply
+  }
+  // The destructor found nothing left to drain: no count twice.
+  EXPECT_EQ(meter.total(), 6u);
+  EXPECT_EQ(slow.calls.load(), 2);
+}
+
+/// A hand-rolled peer: answers the first request on a connection, then
+/// reads the second and drops the connection without answering — a server
+/// that died while executing it. Counts every frame and connection seen.
+class DiesMidRequestPeer {
+ public:
+  DiesMidRequestPeer() : acceptor_(Acceptor::listen(0).value()) {
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~DiesMidRequestPeer() {
+    stop_.store(true);
+    thread_.join();
+  }
+  [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
+  std::atomic<int> frames{0};
+  std::atomic<int> connections{0};
+
+ private:
+  void serve() {
+    while (!stop_.load()) {
+      pollfd waiter{acceptor_.fd(), POLLIN, 0};
+      if (::poll(&waiter, 1, 20) <= 0) continue;
+      Socket conn(::accept(acceptor_.fd(), nullptr, nullptr));
+      if (!conn.valid()) continue;
+      connections.fetch_add(1);
+      if (!read_frame(conn).is_ok()) continue;
+      frames.fetch_add(1);
+      const auto reply =
+          Message{9, StateInfo{SiteState::kAvailable, 1, {}}}.encode();
+      if (!write_frame(conn, reply).is_ok()) continue;
+      if (read_frame(conn).is_ok()) frames.fetch_add(1);
+      // conn closes here, the second request unanswered.
+    }
+  }
+
+  Acceptor acceptor_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(TcpFanOutTest, GatherAfterPeerRestartResendsOnlyOnAStalePooledSocket) {
+  DelayHandler first(0ms);
+  DelayHandler second(0ms);
+  auto server = TcpServer::start(0, &first).value();
+  const std::uint16_t port = server->port();
+  TcpPeerTransport transport;
+  transport.set_endpoint(1, "127.0.0.1", port);
+  ASSERT_TRUE(transport.call(0, 1, Message{0, StateInquiry{}}).is_ok());
+
+  // Restart the peer on the same port: the pooled socket is now stale. It
+  // shows so before anything is written on it, so the round moves to a
+  // fresh connection and the restarted peer executes the request once.
+  server->stop();
+  server.reset();
+  server = TcpServer::start(port, &second).value();
+  auto replies =
+      transport.multicast_call(0, SiteSet{1}, Message{0, StateInquiry{}});
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(second.calls.load(), 1);
+  EXPECT_EQ(transport.pool_hits(), 1u);    // the stale socket, tried
+  EXPECT_EQ(transport.pool_misses(), 2u);  // the first connect + its stand-in
+
+  // A request that did leave is never replayed: this peer reads the
+  // second request on a live pooled socket and dies without answering.
+  DiesMidRequestPeer dying;
+  TcpPeerTransport other;
+  other.set_call_timeout(2000ms);
+  other.set_endpoint(1, "127.0.0.1", dying.port());
+  ASSERT_TRUE(other.call(0, 1, Message{0, StateInquiry{}}).is_ok());
+  auto lost = other.multicast_call(0, SiteSet{1}, Message{0, StateInquiry{}});
+  EXPECT_TRUE(lost.empty());
+  auto direct = other.call(0, 1, Message{0, StateInquiry{}});
+  // The failed socket was closed, so this call connects afresh: that is
+  // the only extra connection, and the frame count shows the lost request
+  // was not resent on it.
+  ASSERT_TRUE(direct.is_ok());
+  EXPECT_EQ(dying.frames.load(), 3);
+  EXPECT_EQ(dying.connections.load(), 2);
+}
+
+TEST(TcpFanOutTest, OneRefusedPeerDoesNotFailTheRound) {
+  // A port nobody listens on: connects to it are refused.
+  std::uint16_t refused_port = 0;
+  {
+    auto probe = Acceptor::listen(0).value();
+    refused_port = probe.port();
+  }
+  DelayHandler fast(0ms);
+  auto s1 = TcpServer::start(0, &fast).value();
+  auto s3 = TcpServer::start(0, &fast).value();
+  TcpPeerTransport transport;
+  transport.set_endpoint(1, "127.0.0.1", s1->port());
+  transport.set_endpoint(2, "127.0.0.1", refused_port);
+  transport.set_endpoint(3, "127.0.0.1", s3->port());
+
+  auto replies = transport.multicast_call(0, SiteSet{1, 2, 3},
+                                          Message{0, StateInquiry{}});
+  ASSERT_EQ(replies.size(), 2u);
+  for (const auto& [site, reply] : replies) EXPECT_NE(site, 2u);
+  // An early stop that needs all three settles with the two it can get.
+  auto partial = transport.multicast_call(
+      0, SiteSet{1, 2, 3}, Message{0, StateInquiry{}},
+      [](const std::vector<GatherReply>& so_far) { return so_far.size() >= 3; });
+  EXPECT_EQ(partial.size(), 2u);
+  EXPECT_EQ(transport.call(0, 2, Message{0, StateInquiry{}}).status().code(),
+            reldev::ErrorCode::kUnavailable);
+  EXPECT_EQ(fast.calls.load(), 4);
 }
 
 }  // namespace

@@ -2,13 +2,17 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <ostream>
+#include <thread>
 
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/net/tcp/tcp_server.hpp"
 
 namespace reldev::net::tcp {
 namespace {
+
+using namespace std::chrono_literals;
 
 /// Thread-safe counting echo: replies StateInfo to StateInquiry and echoes
 /// ClientWriteRequests with an ok ClientWriteReply.
@@ -174,6 +178,49 @@ TEST(TcpPeerTransportTest, UnknownSiteIsUnavailable) {
   TcpPeerTransport transport;
   auto reply = transport.call(0, 5, Message{0, StateInquiry{}});
   EXPECT_EQ(reply.status().code(), reldev::ErrorCode::kUnavailable);
+}
+
+/// Answers votes at once; holds every other request until released.
+class GatedHandler : public MessageHandler {
+ public:
+  Message handle(const Message& request) override {
+    if (request.holds<VoteRequest>() || request.holds<RangeVoteRequest>()) {
+      return Message{0, VoteReply{3, 1000}};
+    }
+    held.fetch_add(1);
+    while (!released.load()) std::this_thread::sleep_for(1ms);
+    return Message{0, StateInfo{SiteState::kAvailable, 7, {}}};
+  }
+  void handle_oneway(const Message&) override {}
+  std::atomic<int> held{0};
+  std::atomic<bool> released{false};
+};
+
+TEST(TcpServerDispatchTest, VotesAreAnsweredWhileEveryPoolWorkerIsBusy) {
+  // One loop shard, one pool worker, and that worker stuck in a request:
+  // a vote still gets its answer, because the loop answers votes itself.
+  GatedHandler handler;
+  auto server =
+      TcpServer::start(0, &handler,
+                       ServerOptions{.loop_shards = 1, .handler_threads = 1})
+          .value();
+  TcpChannel stuck("127.0.0.1", server->port());
+  std::thread blocker(
+      [&stuck] { EXPECT_TRUE(stuck.call(Message{1, StateInquiry{}}).is_ok()); });
+  while (handler.held.load() == 0) std::this_thread::sleep_for(1ms);
+
+  TcpChannel voter("127.0.0.1", server->port(), 2000ms);
+  auto vote = voter.call(Message{2, VoteRequest{AccessKind::kRead, 5}});
+  auto range = voter.call(Message{2, RangeVoteRequest{AccessKind::kRead, 0, 2}});
+  const int held = handler.held.load();
+  handler.released.store(true);
+  blocker.join();
+
+  ASSERT_TRUE(vote.is_ok()) << vote.status().to_string();
+  EXPECT_TRUE(vote.value().holds<VoteReply>());
+  ASSERT_TRUE(range.is_ok()) << range.status().to_string();
+  EXPECT_TRUE(range.value().holds<VoteReply>());
+  EXPECT_EQ(held, 1);  // nothing else reached the pool
 }
 
 /// Builds a connected stream-socket pair for framing tests.

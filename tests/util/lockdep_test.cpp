@@ -27,6 +27,10 @@ TEST(LockdepDisabledTest, ApiIsInertWithoutTheMacro) {
     const AllowBlocking allow("inert");
     check_blocking("recv");
   }
+  {
+    const ForbidBlocking forbid("inert-loop");
+    check_blocking("send");
+  }
   EXPECT_EQ(violation_count(), 0u);
   reset();
   EXPECT_EQ(violation_count(), 0u);
@@ -265,6 +269,38 @@ TEST_F(LockdepTest, AllowBlockingSuppressesTheReport) {
   EXPECT_TRUE(violations_.empty());
   check_blocking("fsync");  // scope ended: reported again
   EXPECT_EQ(of_kind(ViolationKind::kBlockingUnderLock).size(), 1u);
+}
+
+TEST_F(LockdepTest, BlockingInsideForbidScopeIsReportedWithoutALock) {
+  {
+    const ForbidBlocking forbid("ld-test.loop");
+    check_blocking("recv");
+    check_blocking("recv");  // same (op, owner): collapsed
+    {
+      // The loop's contract is stricter than the under-lock one: an
+      // AllowBlocking excuse does not silence it.
+      const AllowBlocking allow("test: excuses do not apply on the loop");
+      check_blocking("pread");
+    }
+  }
+  const auto on_loop = of_kind(ViolationKind::kBlockingOnLoop);
+  ASSERT_EQ(on_loop.size(), 2u);
+  EXPECT_NE(on_loop[0].text.find("recv"), std::string::npos);
+  EXPECT_NE(on_loop[0].text.find("ld-test.loop"), std::string::npos);
+  EXPECT_NE(on_loop[1].text.find("pread"), std::string::npos);
+  EXPECT_TRUE(of_kind(ViolationKind::kBlockingUnderLock).empty());
+  EXPECT_STREQ(violation_kind_name(ViolationKind::kBlockingOnLoop),
+               "blocking-on-loop");
+
+  check_blocking("recv");  // scope ended, no lock held: clean again
+  EXPECT_EQ(violations_.size(), 2u);
+}
+
+TEST_F(LockdepTest, ForbidScopeIsPerThread) {
+  const ForbidBlocking forbid("ld-test.loop-thread");
+  std::thread other([] { check_blocking("fsync"); });
+  other.join();
+  EXPECT_TRUE(violations_.empty());
 }
 
 TEST_F(LockdepTest, CondVarWaitWithOnlyItsMutexIsClean) {
